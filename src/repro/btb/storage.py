@@ -71,7 +71,8 @@ class BranchTargetBuffer:
             for entry in self._rows[(address >> 5) % self.rows]
             if entry.address & ~(ROW_BYTES - 1) == row_start
         ]
-        entries.sort(key=lambda entry: entry.address)
+        if len(entries) > 1:
+            entries.sort(key=lambda entry: entry.address)
         return entries
 
     def lookup(self, branch_address: int) -> BTBEntry | None:

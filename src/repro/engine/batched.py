@@ -234,10 +234,7 @@ class BatchedSimulator:
         preload = self._sim.preload
         if preload is None:
             return False
-        transfer = preload.transfer
-        return bool(
-            transfer._queue or transfer._inflight or preload._block_waiters
-        )
+        return preload.transfer.busy or bool(preload._block_waiters)
 
     def _consume(self, chunk: list) -> None:
         """Process one chunk: fast spans separated by slow-path records."""
@@ -398,8 +395,7 @@ class BatchedSimulator:
                     for _ in repeat(None, gap):
                         cycle += base
                         p_advance(int(cycle))
-                    busy = bool(trans._queue or trans._inflight
-                                or preload._block_waiters)
+                    busy = trans.busy or bool(preload._block_waiters)
                 else:
                     for _ in repeat(None, gap):
                         cycle += base
@@ -524,8 +520,7 @@ class BatchedSimulator:
                             # enqueuing transfers: subsequent records then
                             # need per-record preload advances.
                             report_icache_miss(address, int(cycle))
-                            busy = bool(trans._queue or trans._inflight
-                                        or preload._block_waiters)
+                            busy = trans.busy or bool(preload._block_waiters)
                 branches += 1
                 if taken:
                     taken_branches += 1
@@ -665,8 +660,7 @@ class BatchedSimulator:
                             "icache_miss", 0.0) + l2
                         if report_icache_miss is not None:
                             report_icache_miss(address, int(cycle))
-                            busy = bool(trans._queue or trans._inflight
-                                        or preload._block_waiters)
+                            busy = trans.busy or bool(preload._block_waiters)
                 if tracker_observe is not None:
                     if (address ^ last_observed) >> _SECTOR_SHIFT:
                         tracker_observe(address)

@@ -100,6 +100,8 @@ class Simulator:
     ) -> None:
         self.config = config
         self.timing = timing
+        # ``TimingParams`` is frozen; evaluate the property once.
+        self._base_decode_cycles = timing.base_decode_cycles
         self.engine_mode = validate_engine_mode(engine_mode)
         self.btb2 = (
             BTB2(rows=config.btb2_rows, ways=config.btb2_ways)
@@ -201,7 +203,7 @@ class Simulator:
                 self.telemetry.on_context_switch(self._cycle, record.address)
         self._expected_address = record.next_address
         self.counters.instructions += 1
-        self._cycle += self.timing.base_decode_cycles
+        self._cycle += self._base_decode_cycles
         if self.preload is not None:
             self.preload.advance(int(self._cycle))
         self._fetch(record.address)
@@ -563,7 +565,7 @@ class Simulator:
         self.counters.branches += 1
         if record.taken:
             self.counters.taken_branches += 1
-            extra = self.timing.taken_branch_decode_cycles - self.timing.base_decode_cycles
+            extra = self.timing.taken_branch_decode_cycles - self._base_decode_cycles
             if extra > 0:
                 self._cycle += extra
         outcome = self.search.advance_to_branch(record.address)

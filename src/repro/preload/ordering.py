@@ -184,9 +184,18 @@ class OrderingTracker:
         self._demand_quartile = 0
         self._current_quartile = 0
         self._pending: OrderingEntry | None = None
+        # Sector (``address >> 7``) of the last observed address; ``None``
+        # after any change made outside ``observe``.
+        self._last_sector: int | None = None
 
     def observe(self, address: int) -> None:
         """Fold one completing instruction's address into the tracking state."""
+        sector = address >> 7
+        if sector == self._last_sector:
+            # Same sector, so same block and quartile: the bit is already
+            # set and the current quartile already recorded.
+            return
+        self._last_sector = sector
         block = block_address(address)
         quartile = quartile_in_block(address)
         if block != self._block:
@@ -210,6 +219,7 @@ class OrderingTracker:
         """Commit the in-flight block entry (end of simulation)."""
         self._commit()
         self._block = None
+        self._last_sector = None
 
     def state_dict(self) -> dict:
         """Snapshot of the in-flight tracking state (table held separately)."""
@@ -232,6 +242,7 @@ class OrderingTracker:
             if state["pending"] is not None
             else None
         )
+        self._last_sector = None
 
 
 def classify_sectors(

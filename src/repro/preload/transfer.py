@@ -13,13 +13,15 @@ completion moves every tag-matching BTB2 entry into the BTBP.
 
 Time is advanced lazily: the simulator calls :meth:`advance` with its
 current clock before any structure probe, so transferred entries become
-visible exactly at their completion cycles.
+visible exactly at their completion cycles.  Most of those calls find
+nothing to do, so the engine keeps a lower bound on the cycle of its next
+issue or completion (``_next_event``) and returns at once before it.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import math
 from typing import Callable
 
 from repro.btb.btb2 import BTB2
@@ -36,15 +38,6 @@ SEARCH_PIPELINE_CYCLES = 8
 FULL_BLOCK_TRANSFER_CYCLES = 128 + SEARCH_PIPELINE_CYCLES
 
 
-@dataclass(order=True)
-class _QueuedRead:
-    priority: int
-    sequence: int
-    row_address: int
-    eligible_cycle: int
-    tracker: SearchTracker
-
-
 class TransferEngine:
     """One-row-per-cycle pipelined BTB2 reader with priority arbitration."""
 
@@ -59,11 +52,17 @@ class TransferEngine:
         self.install = install
         self.exclusivity = exclusivity
         self.on_tracker_drained = on_tracker_drained
-        self._queue: list[_QueuedRead] = []
+        # Queued reads: (priority, sequence, row_address, eligible_cycle,
+        # tracker).  ``sequence`` is unique, so heap order never compares
+        # trackers.
+        self._queue: list[tuple[int, int, int, int, SearchTracker]] = []
         self._sequence = 0
         # In-flight reads: (completion_cycle, sequence, row_address, tracker).
         self._inflight: list[tuple[int, int, int, SearchTracker]] = []
         self._next_issue_cycle = 0
+        # No issue or completion can happen before this cycle (infinity
+        # when nothing is queued or in flight).
+        self._next_event: float = math.inf
         self.clock = 0
         self.rows_read = 0
         self.entries_transferred = 0
@@ -99,38 +98,58 @@ class TransferEngine:
             self._sequence += 1
             heapq.heappush(
                 self._queue,
-                _QueuedRead(
-                    priority=priority,
-                    sequence=self._sequence,
-                    row_address=row_address,
-                    eligible_cycle=eligible_cycle,
-                    tracker=tracker,
-                ),
+                (priority, self._sequence, row_address, eligible_cycle,
+                 tracker),
             )
             queued += 1
+        if queued:
+            # A lower bound: the new read may not be the head, in which
+            # case the head issues no earlier than this anyway.
+            self._next_event = min(
+                self._next_event, max(self._next_issue_cycle, eligible_cycle)
+            )
         return queued
 
     # -- time ----------------------------------------------------------------
 
     def advance(self, cycle: int) -> None:
         """Issue and complete row reads up to ``cycle`` (monotonic)."""
-        self.clock = max(self.clock, cycle)
+        if cycle > self.clock:
+            self.clock = cycle
+        if self.clock < self._next_event:
+            return
         self._issue_until(self.clock)
         self._complete_until(self.clock)
+        self._update_next_event()
+
+    def _update_next_event(self) -> None:
+        """Recompute ``_next_event`` exactly from the queue and in-flight."""
+        upcoming = math.inf
+        if self._queue:
+            upcoming = max(self._next_issue_cycle, self._queue[0][3])
+        if self._inflight and self._inflight[0][0] < upcoming:
+            upcoming = self._inflight[0][0]
+        self._next_event = upcoming
+
+    @property
+    def busy(self) -> bool:
+        """Whether any row read is queued or in flight."""
+        return bool(self._queue or self._inflight)
 
     def _issue_until(self, cycle: int) -> None:
-        while self._queue:
-            head = self._queue[0]
-            issue = max(self._next_issue_cycle, head.eligible_cycle)
+        queue = self._queue
+        while queue:
+            _, sequence, row_address, eligible, tracker = queue[0]
+            issue = max(self._next_issue_cycle, eligible)
             if issue > cycle:
                 break
-            heapq.heappop(self._queue)
+            heapq.heappop(queue)
             self._next_issue_cycle = issue + 1
             self.rows_read += 1
-            completion = issue + SEARCH_PIPELINE_CYCLES
             heapq.heappush(
                 self._inflight,
-                (completion, head.sequence, head.row_address, head.tracker),
+                (issue + SEARCH_PIPELINE_CYCLES, sequence, row_address,
+                 tracker),
             )
 
     def _complete_until(self, cycle: int) -> None:
@@ -181,9 +200,10 @@ class TransferEngine:
         """
         return {
             "queue": [
-                [item.priority, item.sequence, item.row_address,
-                 item.eligible_cycle, slot_of(item.tracker)]
-                for item in self._queue
+                [priority, sequence, row_address, eligible_cycle,
+                 slot_of(tracker)]
+                for priority, sequence, row_address, eligible_cycle, tracker
+                in self._queue
             ],
             "inflight": [
                 [completion, sequence, row_address, slot_of(tracker)]
@@ -204,13 +224,8 @@ class TransferEngine:
         ``tracker_at`` resolves slot indices back to live tracker objects.
         """
         self._queue = [
-            _QueuedRead(
-                priority=priority,
-                sequence=sequence,
-                row_address=row_address,
-                eligible_cycle=eligible_cycle,
-                tracker=tracker_at(slot),
-            )
+            (priority, sequence, row_address, eligible_cycle,
+             tracker_at(slot))
             for priority, sequence, row_address, eligible_cycle, slot
             in state["queue"]
         ]
@@ -225,6 +240,7 @@ class TransferEngine:
         self.clock = state["clock"]
         self.rows_read = state["rows_read"]
         self.entries_transferred = state["entries_transferred"]
+        self._update_next_event()
 
     # -- introspection ---------------------------------------------------------
 
@@ -246,6 +262,6 @@ class TransferEngine:
         and every tracker sees its drained callback.
         """
         horizon = self.clock
-        while self._queue or self._inflight:
+        while self.busy:
             horizon += FULL_BLOCK_TRANSFER_CYCLES
             self.advance(horizon)

@@ -12,6 +12,17 @@ Two access styles are provided:
   ``[start, stop)`` window without touching the rest of the file.  The
   sampled-simulation fast-forward path uses this so warming a trace never
   requires materializing millions of ``TraceRecord`` objects up front.
+
+Every reader, :class:`TraceStreamDecoder` included, decodes through one
+block decoder (:func:`_decode_block`).  It interns records: a dict maps
+the raw 20 record bytes to the :class:`TraceRecord` they decode to, and
+only a dict miss runs :func:`_decode`.  Traces are loops -- a few
+hundred thousand records typically hold a few tens of thousands of
+distinct ones -- so most records cost one slice and one dict probe.
+Sharing instances is safe because ``TraceRecord`` is a frozen dataclass:
+equal bytes decode to equal records, and nothing can mutate one.  The
+record-level checks in :func:`_decode` also run on a miss only, since a
+record that passed them once is the same record on every later hit.
 """
 
 from __future__ import annotations
@@ -36,6 +47,18 @@ class TraceFormatError(ValueError):
     """Raised when a trace stream does not conform to the format."""
 
 
+#: Records read per block by the file readers.
+BLOCK_RECORDS = 4096
+
+#: Distinct records an intern cache holds before it is emptied.  Bounds
+#: the memory of a streaming reader over a trace that does not loop; the
+#: benchmark traces hold well under this many distinct records.
+INTERN_LIMIT = 1 << 16
+
+#: Instruction lengths the trace format accepts, in bytes.
+_LENGTHS = frozenset((2, 4, 6))
+
+
 def read_header(stream: BinaryIO) -> tuple[int, int]:
     """Consume and validate the header; return ``(record count, version)``."""
     raw = stream.read(HEADER.size)
@@ -49,11 +72,24 @@ def read_header(stream: BinaryIO) -> tuple[int, int]:
     return count, version
 
 
-def _decode(raw: bytes, version: int) -> TraceRecord:
-    """Decode one packed record according to ``version``."""
+def _decode(raw: bytes, version: int, index: int) -> TraceRecord:
+    """Decode one packed record according to ``version``.
+
+    ``index`` is the record's position in its stream, for error messages.
+    Raises :class:`TraceFormatError` on a kind code no branch kind has, a
+    length the format does not allow, or a taken bit on a non-branch.
+    """
     meta, address, target = RECORD.unpack(raw)
-    kind = CODE_KINDS.get((meta >> 3) & 0x7)
+    code = (meta >> 3) & 0x7
+    if code not in CODE_KINDS:
+        raise TraceFormatError(f"record {index}: unknown branch kind code {code}")
+    kind = CODE_KINDS[code]
+    length = meta & 0x7
+    if length not in _LENGTHS:
+        raise TraceFormatError(f"record {index}: illegal length {length}")
     taken = bool(meta & TAKEN_BIT)
+    if taken and kind is None:
+        raise TraceFormatError(f"record {index}: non-branch marked taken")
     if version >= 2:
         has_target = bool(meta & TARGET_VALID_BIT)
     else:
@@ -62,11 +98,55 @@ def _decode(raw: bytes, version: int) -> TraceRecord:
         has_target = bool(taken or (kind is not None and target))
     return TraceRecord(
         address=address,
-        length=meta & 0x7,
+        length=length,
         kind=kind,
         taken=taken,
         target=target if has_target else None,
     )
+
+
+def _decode_block(body: bytes, version: int, cache: dict,
+                  first: int) -> list[TraceRecord]:
+    """Decode the whole records of ``body`` through the intern ``cache``.
+
+    ``first`` is the stream index of the first record in ``body``.  The
+    cache maps raw record bytes to decoded records and is emptied when it
+    reaches :data:`INTERN_LIMIT` entries.
+    """
+    size = RECORD.size
+    get = cache.get
+    records: list[TraceRecord] = []
+    append = records.append
+    for offset in range(0, len(body), size):
+        raw = body[offset:offset + size]
+        record = get(raw)
+        if record is None:
+            if len(cache) >= INTERN_LIMIT:
+                cache.clear()
+            record = _decode(raw, version, first + offset // size)
+            cache[raw] = record
+        append(record)
+    return records
+
+
+def _read_records(stream: BinaryIO, version: int, start: int, stop: int,
+                  total: int, cache: dict) -> Iterator[list[TraceRecord]]:
+    """Yield records ``[start, stop)`` from ``stream`` in decoded blocks.
+
+    ``stream`` must be positioned at record ``start``; ``total`` is the
+    declared record count, for error messages.
+    """
+    size = RECORD.size
+    index = start
+    while index < stop:
+        batch = min(BLOCK_RECORDS, stop - index)
+        body = stream.read(batch * size)
+        if len(body) != batch * size:
+            raise TraceFormatError(
+                f"truncated at record {index + len(body) // size}/{total}"
+            )
+        yield _decode_block(body, version, cache, index)
+        index += batch
 
 
 def iter_trace(stream: BinaryIO) -> Iterator[TraceRecord]:
@@ -77,11 +157,8 @@ def iter_trace(stream: BinaryIO) -> Iterator[TraceRecord]:
     :class:`TraceFormatError`.
     """
     count, version = read_header(stream)
-    for index in range(count):
-        raw = stream.read(RECORD.size)
-        if len(raw) != RECORD.size:
-            raise TraceFormatError(f"truncated at record {index}/{count}")
-        yield _decode(raw, version)
+    for block in _read_records(stream, version, 0, count, count, {}):
+        yield from block
     if stream.read(1):
         raise TraceFormatError(
             f"trailing bytes after declared record count {count}"
@@ -108,6 +185,8 @@ class TraceFile:
     def __init__(self, path) -> None:
         self.path = os.fspath(path)
         self._stream: BinaryIO | None = open(self.path, "rb")
+        # Shared by every window, so re-reading a window costs dict hits.
+        self._intern: dict[bytes, TraceRecord] = {}
         try:
             self.count, self.version = read_header(self._stream)
             expected = HEADER.size + self.count * RECORD.size
@@ -154,15 +233,15 @@ class TraceFile:
         raw = stream.read(RECORD.size)
         if len(raw) != RECORD.size:
             raise TraceFormatError(f"truncated at record {index}/{self.count}")
-        return _decode(raw, self.version)
+        return _decode(raw, self.version, index)
 
     def iter_from(self, start: int = 0,
                   stop: int | None = None) -> Iterator[TraceRecord]:
         """Stream records in ``[start, stop)`` without loading the rest.
 
-        Reads in fixed-size chunks so a multi-million-record fast-forward
-        costs a handful of large sequential reads, not one syscall per
-        record.
+        Reads in blocks of :data:`BLOCK_RECORDS` so a multi-million-record
+        fast-forward costs a handful of large sequential reads, not one
+        syscall per record.
         """
         stop = self.count if stop is None else min(stop, self.count)
         if start < 0 or start > self.count:
@@ -171,19 +250,9 @@ class TraceFile:
             return
         stream = self._require_stream()
         stream.seek(HEADER.size + start * RECORD.size)
-        remaining = stop - start
-        per_chunk = 4096
-        size = RECORD.size
-        while remaining:
-            batch = min(per_chunk, remaining)
-            raw = stream.read(batch * size)
-            if len(raw) != batch * size:
-                raise TraceFormatError(
-                    f"truncated at record {stop - remaining}/{self.count}"
-                )
-            for offset in range(0, len(raw), size):
-                yield _decode(raw[offset:offset + size], self.version)
-            remaining -= batch
+        for block in _read_records(stream, self.version, start, stop,
+                                   self.count, self._intern):
+            yield from block
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return self.iter_from(0, self.count)
@@ -213,6 +282,9 @@ class TraceStreamDecoder:
             raise TraceFormatError(f"unsupported trace version {version}")
         self.version = version
         self._buffer = bytearray()
+        # Bounded by INTERN_LIMIT, so a long-lived session's memory does
+        # not grow with the distinct records it has seen.
+        self._intern: dict[bytes, TraceRecord] = {}
         #: Complete records decoded so far.
         self.decoded = 0
 
@@ -227,12 +299,9 @@ class TraceStreamDecoder:
         usable = len(self._buffer) - (len(self._buffer) % size)
         if not usable:
             return []
-        view = bytes(self._buffer[:usable])
+        records = _decode_block(bytes(self._buffer[:usable]), self.version,
+                                self._intern, self.decoded)
         del self._buffer[:usable]
-        records = [
-            _decode(view[offset:offset + size], self.version)
-            for offset in range(0, usable, size)
-        ]
         self.decoded += len(records)
         return records
 

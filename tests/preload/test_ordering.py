@@ -125,6 +125,32 @@ class TestOrderingTracker:
         entry = table.lookup(BLOCK)
         assert entry.sector_active(1) and entry.sector_active(4)
 
+    def test_same_sector_repeats_change_nothing(self):
+        addresses = [BLOCK + 0x80, BLOCK + 0x84, BLOCK + 0xFE, BLOCK + 0x900,
+                     BLOCK + 0x904, BLOCK + 0x80, BLOCK + 0x10_000]
+        deduped = OrderingTracker(OrderingTable(sets=64, ways=2))
+        for address in addresses:
+            deduped.observe(address)
+        # The same walk with each run of same-sector addresses collapsed.
+        collapsed = OrderingTracker(OrderingTable(sets=64, ways=2))
+        for address in [BLOCK + 0x80, BLOCK + 0x900, BLOCK + 0x80,
+                        BLOCK + 0x10_000]:
+            collapsed.observe(address)
+        assert deduped.state_dict() == collapsed.state_dict()
+        assert deduped.table.state_dict() == collapsed.table.state_dict()
+
+    def test_flush_and_restore_forget_the_last_sector(self):
+        table = OrderingTable(sets=64, ways=2)
+        tracker = OrderingTracker(table)
+        fresh = tracker.state_dict()
+        tracker.observe(BLOCK + 0x80)
+        tracker.flush()
+        tracker.observe(BLOCK + 0x80)  # starts a new pending entry
+        assert tracker.state_dict()["pending"]["sector_bits"] == 1 << 1
+        tracker.load_state_dict(fresh)
+        tracker.observe(BLOCK + 0x80)
+        assert tracker.state_dict()["block"] == BLOCK
+
 
 class TestSteering:
     def test_fallback_is_sequential_from_demand(self):

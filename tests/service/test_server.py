@@ -22,6 +22,7 @@ from repro.service import (
 )
 from repro.service.protocol import CONTENT_TYPE_BINARY, encode_records
 from repro.telemetry.metrics import parse_prometheus
+from repro.trace.writer import RECORD
 from repro.workloads.catalog import workload_by_name
 
 LIMITS = ServiceLimits(chunk_records=512, sweep_interval=0.05)
@@ -315,6 +316,18 @@ class TestEdgeCases:
                 body=b'{"address": 1, "length": 9}\n',
                 content_type="application/x-ndjson")
         assert excinfo.value.code == "bad_request"
+        assert client.health()["ok"]
+
+    def test_corrupt_binary_record_is_typed_400(self, daemon):
+        client = daemon.client
+        sid = client.create_session()["id"]
+        body = encode_records(_trace(scale=0.004)[:3])
+        body += RECORD.pack(4 | (7 << 3), 0x1000, 0)  # kind code 7
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", f"/sessions/{sid}/records", body=body,
+                            content_type=CONTENT_TYPE_BINARY)
+        assert excinfo.value.code == "bad_request"
+        assert "record 3" in excinfo.value.message
         assert client.health()["ok"]
 
 
