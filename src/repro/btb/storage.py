@@ -75,6 +75,23 @@ class BranchTargetBuffer:
             entries.sort(key=lambda entry: entry.address)
         return entries
 
+    def first_in_row(self, address: int) -> BTBEntry | None:
+        """The lowest-address entry at or after ``address`` in its row.
+
+        The first element of ``search_row(address)`` at or after
+        ``address``, found in one pass without building the list: the
+        same tag match, and of two entries for one address the later way,
+        as the stable sort there orders them.
+        """
+        best = None
+        limit = address | (ROW_BYTES - 1)
+        for entry in self._rows[(address >> 5) % self.rows]:
+            entry_address = entry.address
+            if address <= entry_address <= limit:
+                best = entry
+                limit = entry_address
+        return best
+
     def lookup(self, branch_address: int) -> BTBEntry | None:
         """Exact-address probe, without touching LRU state."""
         for entry in self._rows[(branch_address >> 5) % self.rows]:

@@ -475,8 +475,9 @@ def _cmd_figure(args) -> int:
 def _cmd_report(args) -> int:
     from repro.experiments.run_all import main as run_all_main
 
-    argv = ["--scale", str(args.scale), "--sweep-scale", str(args.sweep_scale),
-            "--output", args.output]
+    argv = ["--sweep-scale", str(args.sweep_scale), "--output", args.output]
+    if args.scale is not None:
+        argv += ["--scale", str(args.scale)]
     if args.jobs is not None:
         argv += ["--jobs", str(args.jobs)]
     if args.progress is not None:
@@ -995,7 +996,11 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report", help="regenerate the full paper-vs-measured report"
     )
-    report.add_argument("--scale", type=float, default=1.0)
+    report.add_argument(
+        "--scale", type=float, default=None,
+        help="trace scale of Figures 2-4 and Table 4 "
+             "(default: $REPRO_SCALE or 1.0)",
+    )
     report.add_argument("--sweep-scale", type=float, default=0.35)
     report.add_argument("--output", default="EXPERIMENTS.md")
     report.add_argument(

@@ -98,9 +98,23 @@ class FirstLevelPredictor:
         return [found[key] for key in sorted(found)]
 
     def first_hit_in_row(self, address: int) -> RowHit | None:
-        """The first (lowest-address) hit at or after ``address`` in its row."""
-        hits = self.hits_in_row(address)
-        return hits[0] if hits else None
+        """The first (lowest-address) hit at or after ``address`` in its row.
+
+        ``hits_in_row(address)[0]`` (or ``None``) without building the
+        list: one scan per level and a single :class:`RowHit`.  The BTB1
+        copy wins an address tie, as there.
+        """
+        entry = self.btb1.first_in_row(address)
+        btbp = self.btbp
+        if btbp is not None:
+            other = btbp.first_in_row(address)
+            if other is not None and (
+                entry is None or other.address < entry.address
+            ):
+                return RowHit(other, PredictionLevel.BTBP, btbp.is_mru(other))
+        if entry is None:
+            return None
+        return RowHit(entry, PredictionLevel.BTB1, self.btb1.is_mru(entry))
 
     def resolve_content(self, entry: BTBEntry) -> Resolution:
         """Direction/target decision for a found branch.

@@ -1,13 +1,13 @@
 """Batched struct-of-arrays engine core with a slow-path escape.
 
 The object engine (:class:`repro.engine.simulator.Simulator`) walks the
-trace one :class:`~repro.trace.record.TraceRecord` at a time through a deep
-call tree — ``step`` → ``_fetch``/``_branch`` → ``advance_to_branch`` →
-``_predict`` — allocating a ``SearchOutcome``/``Prediction``/``RowHit`` per
-dynamic branch.  That is the right shape for auditing and lockstep
-observation, but it pays the full method-dispatch and allocation cost for
-every record, including the overwhelmingly common quiet ones (sequential
-non-branch instructions that stay inside the current i-cache line).
+trace one :class:`~repro.trace.record.TraceRecord` at a time.  Quiet
+records (sequential non-branch instructions inside the current i-cache
+line) stay in its record loop, but every branch goes through a deep call
+tree — ``_branch`` → ``advance_to_branch`` → ``_predict`` — allocating a
+``SearchOutcome``/``Prediction``/``RowHit`` per dynamic branch.  That is
+the right shape for auditing and lockstep observation, but it pays the
+full method-dispatch and allocation cost on every branch.
 
 This module is a *bit-identical* batched reformulation of the same model:
 
@@ -25,7 +25,7 @@ This module is a *bit-identical* batched reformulation of the same model:
   float adds — ``base_decode_cycles`` is not a dyadic rational, so a single
   fused multiply would change the accumulated float).
 * Event records are handled by an allocation-free inline replica of the
-  object engine's ``step``: the fetch model, the lookahead search walk, the
+  object engine's record loop: the fetch model, the lookahead search walk, the
   row probe (with the object engine's exact tag-match and BTB1-beats-BTBP
   tie-break), the Table-1 prediction timing, the move protocol and
   training.  Every structure mutation happens in the same order, on the
@@ -33,7 +33,7 @@ This module is a *bit-identical* batched reformulation of the same model:
 * Anything rare **escapes to the slow path before mutating any state**:
   surprise branches (including late predictions), perceived-BTB1-miss
   reports, malformed records, and discontinuities landing on a branch.
-  The escaped record is replayed by the ordinary ``Simulator.step``,
+  The escaped record is replayed by the object engine's record loop,
   which is trivially correct — the fast path guaranteed it had not
   touched anything yet.
 * While the bulk-preload transfer engine is *busy* (queued or in-flight
@@ -71,7 +71,7 @@ from repro.core.search import BROADCAST_LATENCY, SEQUENTIAL_CYCLES_PER_ROW
 from repro.trace.record import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.simulator import SimulationResult, Simulator
+    from repro.engine.simulator import Simulator
 
 try:  # pragma: no cover - environment-dependent
     import numpy as _np
@@ -108,7 +108,7 @@ def resolve_engine_mode(mode: str, *, observed: bool) -> str:
     ``observed`` is whether any per-record observer (audit, telemetry,
     differential probe) is attached; observers force the object engine
     under ``auto``.  An explicit ``batched`` request with observers is
-    honored by :meth:`BatchedSimulator.run` falling back internally, so
+    honored by :meth:`BatchedSimulator.feed` falling back internally, so
     observed runs never silently lose events.
     """
     validate_engine_mode(mode)
@@ -170,9 +170,9 @@ class BatchedSimulator:
     """Chunked fast-path driver wrapped around one object ``Simulator``.
 
     The wrapper owns no architectural state: every table, counter and clock
-    lives in the wrapped simulator, which is why an escape can simply call
-    ``sim.step`` on the offending record.  Instances are cheap; one is
-    created per ``run``/``warm_run`` dispatch.
+    lives in the wrapped simulator, which is why an escape can simply run
+    the offending record through the object engine's record loop.
+    Instances are cheap; one is created per ``feed``/``warm_run`` dispatch.
     """
 
     def __init__(self, sim: "Simulator") -> None:
@@ -189,29 +189,19 @@ class BatchedSimulator:
 
     # -- public API ---------------------------------------------------------
 
-    def run(self, records: Iterable[TraceRecord]) -> "SimulationResult":
-        """Simulate ``records`` and return the collected results.
+    def feed(self, records: Iterable[TraceRecord]) -> None:
+        """Consume ``records`` through the fast path without finishing.
 
         With an observer attached (audit, telemetry, differential probe)
-        the batched fast path cannot fire per-record hooks, so the run
-        transparently degrades to the object engine's record loop —
+        the batched fast path cannot fire per-record hooks, so the records
+        transparently go through the object engine's record loop instead —
         results are identical either way.
         """
         sim = self._sim
         if sim.audit is not None or sim.telemetry is not None \
                 or sim.probe is not None:
-            for record in records:
-                sim.step(record)
-            return sim.finish()
-        self.feed(records)
-        return sim.finish()
-
-    def feed(self, records: Iterable[TraceRecord]) -> None:
-        """Consume ``records`` through the fast path without finishing.
-
-        Exposed separately from :meth:`run` so tests can interleave chunked
-        consumption with ``state_dict()`` snapshots.
-        """
+            sim._feed_object(records)
+            return
         it = iter(records)
         while True:
             chunk = list(islice(it, CHUNK_RECORDS))
@@ -239,13 +229,13 @@ class BatchedSimulator:
     def _consume(self, chunk: list) -> None:
         """Process one chunk: fast spans separated by slow-path records."""
         sim = self._sim
-        step = sim.step
+        slow = sim._feed_object
         n = len(chunk)
         pos = 0
         if not sim._started:
             # The first record of the run initializes the searcher.
             self._escape(0, "start")
-            step(chunk[0])
+            slow((chunk[0],))
             pos = 1
         if pos < n:
             addrs, nxts, isbr = _columns(chunk)
@@ -267,7 +257,7 @@ class BatchedSimulator:
                     # The record at ``pos`` was *not* touched by the fast
                     # path; replay it in full on the slow path.
                     self._escape(pos, reason)
-                    step(chunk[pos])
+                    slow((chunk[pos],))
                     pos += 1
                     while ei < ne and events[ei] < pos:
                         ei += 1
@@ -286,9 +276,9 @@ class BatchedSimulator:
 
         The body is one flat frame with every hot attribute hoisted into
         locals — the batched analogue of ``Simulator.warm_run`` — and is
-        kept in lockstep with ``Simulator.step``/``_fetch``/``_branch``/
-        ``LookaheadSearch.advance_to_branch`` by the parity suite.  When
-        editing either side, update the other.
+        kept in lockstep with ``Simulator._feed_object``/``_fetch``/
+        ``_branch``/``LookaheadSearch.advance_to_branch`` by the parity
+        suite.  When editing either side, update the other.
         """
         sim = self._sim
         timing = sim.timing

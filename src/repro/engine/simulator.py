@@ -168,53 +168,151 @@ class Simulator:
         return resolve_engine_mode(self.engine_mode, observed=observed)
 
     def run(self, records: Iterable[TraceRecord]) -> SimulationResult:
-        """Simulate ``records`` and return the collected results.
+        """Simulate ``records`` and return the collected results."""
+        self.feed(records)
+        return self.finish()
 
-        Dispatches on :attr:`engine_mode`: the per-record object loop, or
-        the bit-identical batched core of :mod:`repro.engine.batched`.
+    def feed(self, records: Iterable[TraceRecord]) -> None:
+        """Simulate ``records`` without finishing the run.
+
+        Successive calls continue one run: feeding a trace in any split of
+        consecutive chunks leaves the same state as feeding it whole.
+        Dispatches on :attr:`engine_mode`: the object engine's record loop,
+        or the bit-identical batched core of :mod:`repro.engine.batched`.
         """
         if self.resolved_engine_mode() == "batched":
             from repro.engine.batched import BatchedSimulator
 
-            return BatchedSimulator(self).run(records)
-        for record in records:
-            self.step(record)
-        return self.finish()
+            BatchedSimulator(self).feed(records)
+            return
+        self._feed_object(records)
 
     def step(self, record: TraceRecord) -> None:
-        """Simulate one trace record."""
-        if not self._started:
-            self.search.restart(record.address, 0)
-            self._started = True
-        elif record.address != self._expected_address:
-            # Control arrived somewhere the previous record cannot explain:
-            # a time-slice switch or interrupt in the trace.  Fetch and the
-            # lookahead searcher restart at the new stream, as on hardware;
-            # the fetch state of the old stream is dead — forgetting
-            # ``_current_line`` forces a real fetch of the new stream's
-            # first line (even when it aliases the old one), and in-flight
-            # prefetch fills must not attribute hidden misses to a context
-            # that never launched them.
-            self.counters.context_switches += 1
-            self.search.restart(record.address, math.ceil(self._cycle))
-            self._current_line = -1
-            self._line_fills.clear()
-            if self.telemetry is not None:
-                self.telemetry.on_context_switch(self._cycle, record.address)
-        self._expected_address = record.next_address
-        self.counters.instructions += 1
-        self._cycle += self._base_decode_cycles
-        if self.preload is not None:
-            self.preload.advance(int(self._cycle))
-        self._fetch(record.address)
-        if record.is_branch:
-            self._branch(record)
-        if self.preload is not None:
-            self.preload.observe_completion(record.address)
-        if self.audit is not None:
-            self.audit.after_step(self, record)
-        if self.telemetry is not None:
-            self.telemetry.after_step(self, record)
+        """Simulate one trace record (a one-record :meth:`feed`)."""
+        self.feed((record,))
+
+    def _feed_object(self, records: Iterable[TraceRecord]) -> None:
+        """The object engine's one detailed record loop, in one frame.
+
+        A *quiet* record — a non-branch instruction inside the current
+        i-cache line — is handled inline.  Its preload advance is deferred
+        while ``PreloadEngine.quiet_until`` says it would only move the
+        transfer clock; the latest one is applied before any other preload
+        call, observer hook or return.  Branches go through
+        :meth:`_branch`; :meth:`_fetch` runs only on a line change.  See
+        docs/PERFORMANCE.md, "Detailed record loop".
+        """
+        counters = self.counters
+        base = self._base_decode_cycles
+        line_mask = ~(self.timing.icache_line_bytes - 1)
+        fetch = self._fetch
+        branch = self._branch
+        preload = self.preload
+        if preload is not None:
+            advance = preload.advance
+            quiet_until = preload.quiet_until
+            horizon = quiet_until()
+            observe = (preload.ordering_tracker.observe
+                       if self.config.steering_enabled else None)
+        else:
+            advance = quiet_until = observe = None
+            horizon = math.inf
+        observed = self.audit is not None or self.telemetry is not None
+        # Hoisted state, written back on every exit.  ``cycle`` only grows,
+        # so after an exception the larger of it and ``self._cycle`` (which
+        # the callees update) is the current decode clock.
+        cycle = self._cycle
+        expected = self._expected_address if self._started else None
+        current_line = self._current_line
+        instructions = counters.instructions
+        # Sector of the last address given to the ordering tracker, whose
+        # ``observe`` ignores a repeat of it.
+        last_sector = None
+        # Cycle of the latest deferred preload advance, -1.0 when none.
+        owed = -1.0
+        try:
+            for record in records:
+                address = record.address
+                if address != expected:
+                    if not self._started:
+                        self.search.restart(address, 0)
+                        self._started = True
+                    else:
+                        # Control arrived somewhere the previous record
+                        # cannot explain: a time-slice switch or interrupt in
+                        # the trace.  Fetch and the lookahead searcher
+                        # restart at the new stream, as on hardware; the
+                        # fetch state of the old stream is dead — forgetting
+                        # the current line forces a real fetch of the new
+                        # stream's first line (even when it aliases the old
+                        # one), and in-flight prefetch fills must not
+                        # attribute hidden misses to a context that never
+                        # launched them.
+                        counters.context_switches += 1
+                        self.search.restart(address, math.ceil(cycle))
+                        current_line = -1
+                        self._line_fills.clear()
+                        if self.telemetry is not None:
+                            self.telemetry.on_context_switch(cycle, address)
+                kind = record.kind
+                if kind is None or not record.taken:
+                    expected = address + record.length
+                else:
+                    target = record.target
+                    if target is None:
+                        raise ValueError(
+                            f"taken branch at {address:#x} has no target"
+                        )
+                    expected = target
+                instructions += 1
+                cycle += base
+                line = address & line_mask
+                if kind is None and line == current_line:
+                    if cycle >= horizon:
+                        owed = -1.0
+                        advance(int(cycle))
+                        horizon = quiet_until()
+                    else:
+                        owed = cycle
+                else:
+                    self._cycle = cycle
+                    if preload is not None:
+                        owed = -1.0
+                        advance(int(cycle))
+                    if line != current_line:
+                        current_line = line
+                        fetch(address, line)
+                    if kind is not None:
+                        branch(record)
+                    cycle = self._cycle
+                    if preload is not None:
+                        horizon = quiet_until()
+                if observe is not None:
+                    sector = address >> 7
+                    if sector != last_sector:
+                        last_sector = sector
+                        observe(address)
+                if observed:
+                    self._cycle = cycle
+                    self._expected_address = expected
+                    self._current_line = current_line
+                    counters.instructions = instructions
+                    if owed >= 0.0 and advance is not None:
+                        advance(int(owed))
+                        owed = -1.0
+                    if self.audit is not None:
+                        self.audit.after_step(self, record)
+                    if self.telemetry is not None:
+                        self.telemetry.after_step(self, record)
+        finally:
+            if cycle > self._cycle:
+                self._cycle = cycle
+            if self._started:
+                self._expected_address = expected
+            self._current_line = current_line
+            counters.instructions = instructions
+            if owed >= 0.0 and advance is not None:
+                advance(int(owed))
 
     # -- functional warming ----------------------------------------------------
 
@@ -226,50 +324,13 @@ class Simulator:
         no cycle accounting, no lookahead-search timing, and no counter
         mutation happens.  This is what makes interval sampling fast: the
         fast-forward path costs a couple of table probes per record instead
-        of the full pipeline model.
+        of the full pipeline model.  A one-record :meth:`warm_run`.
 
         The search/transfer machinery idles during warming; the sampling
         runner calls :meth:`begin_interval` before each measured interval to
         resynchronize it.
         """
-        if not self._started:
-            self._started = True
-        elif record.address != self._expected_address:
-            # Context switch while warming: the old stream's fetch state is
-            # dead, exactly as in :meth:`step`, but without cycle accounting.
-            self._current_line = -1
-            self._line_fills.clear()
-        self._expected_address = record.next_address
-        line = record.address & ~(self.timing.icache_line_bytes - 1)
-        if line != self._current_line:
-            self._current_line = line
-            self.icache.fetch(record.address, int(self._cycle))
-        if record.kind is None:
-            return
-        entry = self.hierarchy.btb1.lookup(record.address)
-        if entry is not None:
-            self.hierarchy.btb1.touch(entry)
-        elif self.hierarchy.btbp is not None:
-            entry = self.hierarchy.btbp.lookup(record.address)
-            if entry is not None:
-                # Warming approximates every BTBP hit as a used prediction:
-                # the entry is promoted into the BTB1 and the victim chain
-                # runs, keeping capacity pressure realistic.
-                self.hierarchy.use_prediction(
-                    RowHit(entry, PredictionLevel.BTBP,
-                           self.hierarchy.btbp.is_mru(entry))
-                )
-        if entry is not None:
-            self.hierarchy.train(entry, record)
-        else:
-            if self.btb2 is not None:
-                self._warm_preload(record.address)
-            if record.taken and record.target is not None:
-                self.hierarchy.surprise_install(record)
-        if record.taken and record.target is not None:
-            self.icache.prefetch(record.target)
-        self.hierarchy.record_resolved_branch(record)
-        self._seen_branches.add(record.address)
+        self.warm_run((record,))
 
     def _warm_preload(self, address: int) -> None:
         """Functional stand-in for the bulk-preload engine during warming.
@@ -307,14 +368,12 @@ class Simulator:
             preload_write(entry)
 
     def warm_run(self, records: Iterable[TraceRecord]) -> None:
-        """Functionally warm a span of records (bulk :meth:`warm_step`).
+        """Functionally warm a span of records (see :meth:`warm_step`).
 
-        Behaviorally identical to calling :meth:`warm_step` on each record
-        in order — pinned by an equivalence test over full state snapshots —
-        but with the record loop and every hot attribute lookup hoisted into
-        one frame.  Warming throughput bounds sampled-simulation speedup
-        (the detailed fraction is small), so this path is worth the
-        duplication.
+        The one warming body: :meth:`warm_step` is a one-record span.  The
+        record loop and every hot attribute lookup are hoisted into one
+        frame, since warming throughput bounds sampled-simulation speedup
+        (the detailed fraction is small).
 
         Under ``engine_mode in ("batched", "auto")`` the span is consumed
         by :func:`repro.engine.batched.warm_run_batched`, which skips the
@@ -351,54 +410,70 @@ class Simulator:
         started = self._started
         expected = self._expected_address
         current_line = self._current_line
-        for record in records:
-            address = record.address
-            if address != expected:
-                if started:
-                    current_line = -1
-                    self._line_fills.clear()
+        try:
+            for record in records:
+                address = record.address
+                if address != expected:
+                    if started:
+                        # Context switch while warming: the old stream's fetch
+                        # state is dead, as in detailed mode, but there is no
+                        # cycle accounting and no searcher to restart.
+                        current_line = -1
+                        self._line_fills.clear()
+                    else:
+                        started = True
+                kind = record.kind
+                if kind is None:
+                    expected = address + record.length
+                    line = address & line_mask
+                    if line != current_line:
+                        current_line = line
+                        icache_fetch(address, cycle)
+                    continue
+                taken = record.taken
+                target = record.target
+                if not taken:
+                    expected = address + record.length
+                elif target is None:
+                    raise ValueError(
+                        f"taken branch at {address:#x} has no target"
+                    )
                 else:
-                    started = True
-            kind = record.kind
-            if kind is None:
-                expected = address + record.length
+                    expected = target
                 line = address & line_mask
                 if line != current_line:
                     current_line = line
                     icache_fetch(address, cycle)
-                continue
-            taken = record.taken
-            target = record.target
-            expected = target if taken else address + record.length
-            line = address & line_mask
-            if line != current_line:
-                current_line = line
-                icache_fetch(address, cycle)
-            entry = btb1_lookup(address)
-            if entry is not None:
-                btb1_touch(entry)
-                train(entry, record)
-            else:
-                entry = (btbp_lookup(address)
-                         if btbp_lookup is not None else None)
+                entry = btb1_lookup(address)
                 if entry is not None:
-                    use_prediction(
-                        RowHit(entry, btbp_level, btbp_is_mru(entry))
-                    )
+                    btb1_touch(entry)
                     train(entry, record)
                 else:
-                    if warm_preload is not None:
-                        warm_preload(address)
-                    if taken and target is not None:
-                        surprise_install(record)
-            if taken and target is not None:
-                icache_prefetch(target)
-            bht_update(address, kind, taken)
-            history_record(address, taken)
-            seen_add(address)
-        self._started = started
-        self._expected_address = expected
-        self._current_line = current_line
+                    entry = (btbp_lookup(address)
+                             if btbp_lookup is not None else None)
+                    if entry is not None:
+                        # Warming approximates every BTBP hit as a used
+                        # prediction: the entry is promoted into the BTB1 and
+                        # the victim chain runs, keeping capacity pressure
+                        # realistic.
+                        use_prediction(
+                            RowHit(entry, btbp_level, btbp_is_mru(entry))
+                        )
+                        train(entry, record)
+                    else:
+                        if warm_preload is not None:
+                            warm_preload(address)
+                        if taken:
+                            surprise_install(record)
+                if taken:
+                    icache_prefetch(target)
+                bht_update(address, kind, taken)
+                history_record(address, taken)
+                seen_add(address)
+        finally:
+            self._started = started
+            self._expected_address = expected
+            self._current_line = current_line
 
     def begin_interval(self, address: int) -> None:
         """Resynchronize timing machinery at a measured-interval start.
@@ -507,11 +582,8 @@ class Simulator:
 
     # -- instruction fetch -------------------------------------------------------
 
-    def _fetch(self, address: int) -> None:
-        line = address & ~(self.timing.icache_line_bytes - 1)
-        if line == self._current_line:
-            return
-        self._current_line = line
+    def _fetch(self, address: int, line: int) -> None:
+        """Fetch ``line``, the new i-cache line of ``address``."""
         hit = self.icache.fetch(address, int(self._cycle))
         fill = self._line_fills.pop(line, None)
         if hit:

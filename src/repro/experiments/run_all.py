@@ -38,6 +38,7 @@ from repro.metrics.report import render_run_summary
 from repro.telemetry import phase_timer
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.monitor import StatusBoard, read_board, render_summary
+from repro.workloads.catalog import default_scale
 
 #: Paper reference values quoted in the report (section 5).
 PAPER = {
@@ -231,7 +232,11 @@ def build_report(scale: float, sweep_scale: float, progress=print,
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument(
+        "--scale", type=float, default=None,
+        help="trace scale of Figures 2-4 and Table 4 "
+             "(default: $REPRO_SCALE or 1.0)",
+    )
     parser.add_argument("--sweep-scale", type=float, default=0.35)
     parser.add_argument(
         "--jobs", type=int, default=None,
@@ -251,6 +256,12 @@ def main(argv: list[str] | None = None) -> int:
              "a final session summary prints at exit",
     )
     args = parser.parse_args(argv)
+    if args.scale is None:
+        try:
+            args.scale = default_scale()
+        except ValueError as error:
+            print(f"run_all: {error}", file=sys.stderr)
+            return 2
 
     if args.audit:
         os.environ[AUDIT_ENV] = "1"

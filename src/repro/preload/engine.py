@@ -16,6 +16,8 @@ This facade implements sections 3.5-3.7 end to end:
 
 from __future__ import annotations
 
+import math
+
 from repro.btb.btb2 import BTB2
 from repro.caches.icache import ICache
 from repro.core.config import FilterMode, PredictorConfig
@@ -201,6 +203,21 @@ class PreloadEngine:
         """Feed one completing instruction to the ordering tracker (3.7)."""
         if self.config.steering_enabled:
             self.ordering_tracker.observe(address)
+
+    def quiet_until(self) -> float:
+        """The first cycle at which :meth:`advance` may have work to do.
+
+        Below it an advance only raises the transfer clock: no row read is
+        due to issue or complete and no BLOCK-mode wait is armed.  A caller
+        may therefore defer such advances and apply just the latest, as
+        long as it does so before the engine's next report, advance, flush
+        or snapshot (the ordering tracker is independent of the clock).
+        Every report or advance can lower or raise the value, so read it
+        again after each.
+        """
+        if self._block_waiters:
+            return -math.inf
+        return self.transfer.next_event
 
     def advance(self, cycle: int) -> None:
         """Advance transfer timing and expire BLOCK-mode waits."""

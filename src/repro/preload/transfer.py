@@ -132,6 +132,15 @@ class TransferEngine:
         self._next_event = upcoming
 
     @property
+    def next_event(self) -> float:
+        """No issue or completion can happen before this cycle.
+
+        Infinity when nothing is queued or in flight.  Below it,
+        :meth:`advance` only raises :attr:`clock`.
+        """
+        return self._next_event
+
+    @property
     def busy(self) -> bool:
         """Whether any row read is queued or in flight."""
         return bool(self._queue or self._inflight)

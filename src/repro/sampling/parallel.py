@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,9 +66,8 @@ from repro.telemetry.tracer import Tracer as _Tracer
 from repro.trace.reader import open_trace
 from repro.workloads.catalog import WorkloadSpec, default_scale
 
-#: Records between worker heartbeat lines on the status board (a power of
-#: two so the in-loop check is one mask + test when a board is attached).
-_BEAT_MASK = 8191
+#: Records between worker heartbeat lines on the status board.
+_BEAT_RECORDS = 8192
 
 #: Count-shaped histogram bounds for per-slice record volumes.
 _RECORD_BUCKETS = (100.0, 1_000.0, 10_000.0, 100_000.0,
@@ -435,12 +435,20 @@ def _slice_body(task: _SliceTask, telemetry, board, label) -> SliceOutcome:
             board.beat(label, "measuring", done=0, total=span)
         before = sim.counters.state_dict()
         cycle_before = sim._cycle
-        stepped = 0
-        for record in cursor.window(task.slice.start, task.slice.stop):
-            sim.step(record)
-            stepped += 1
-            if board is not None and (stepped & _BEAT_MASK) == 0:
-                board.beat(label, "measuring", done=stepped, total=span)
+        records = cursor.window(task.slice.start, task.slice.stop)
+        fed = sim.counters.instructions
+        if board is not None:
+            # Feed in beat-sized pieces; a short piece is the last one.
+            while True:
+                done = sim.counters.instructions
+                sim.feed(islice(records, _BEAT_RECORDS))
+                if sim.counters.instructions - done < _BEAT_RECORDS:
+                    break
+                board.beat(label, "measuring",
+                           done=sim.counters.instructions - fed, total=span)
+        else:
+            sim.feed(records)
+        stepped = sim.counters.instructions - fed
         delta = _diff_counters(before, sim.counters.state_dict())
         delta["cycles"] = sim._cycle - cycle_before
         if telemetry is not None:
@@ -568,9 +576,9 @@ def _produce_checkpoints(
                 continue
             except ValueError:
                 state = None  # foreign/stale: recompute from position
-        for record in cursor.window(cursor.position, boundary):
-            sim.step(record)
-            produced += 1
+        fed = sim.counters.instructions
+        sim.feed(cursor.window(cursor.position, boundary))
+        produced += sim.counters.instructions - fed
         snapshot = sim.state_dict()
         if use_store:
             store.save(model, trace_key, _EXACT_KEY, boundary, snapshot)

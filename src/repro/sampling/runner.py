@@ -23,7 +23,7 @@ one forward sweep over one stream, never a re-read from record 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -323,22 +323,20 @@ def _execute_intervals(
         if telemetry is not None:
             telemetry.on_interval(sim._cycle, interval.index,
                                   interval.warm_start, "warmup")
-        warmup_len = interval.start - interval.warm_start
-        before: dict | None = None
-        cycle_before = 0.0
-        for offset, record in enumerate(
-            cursor.window(interval.warm_start, interval.stop)
-        ):
-            if offset == 0:
-                sim.begin_interval(record.address)
-            if offset == warmup_len:
-                before = sim.counters.state_dict()
-                cycle_before = sim._cycle
-                if telemetry is not None:
-                    telemetry.on_interval(sim._cycle, interval.index,
-                                          interval.start, "measure")
-            sim.step(record)
-            detailed_records += 1
+        records = cursor.window(interval.warm_start, interval.stop)
+        first = next(records, None)
+        if first is not None:
+            sim.begin_interval(first.address)
+            records = chain((first,), records)
+        fed = sim.counters.instructions
+        sim.feed(islice(records, interval.start - interval.warm_start))
+        before = sim.counters.state_dict()
+        cycle_before = sim._cycle
+        if telemetry is not None:
+            telemetry.on_interval(sim._cycle, interval.index,
+                                  interval.start, "measure")
+        sim.feed(records)
+        detailed_records += sim.counters.instructions - fed
         delta = _diff_counters(before, sim.counters.state_dict())
         delta["cycles"] = sim._cycle - cycle_before
         measurements.append(
@@ -379,8 +377,8 @@ def run_sampled(
     never touched: they cannot affect any measurement.
 
     ``engine_mode`` selects the engine for the functional fast-forward
-    (``warm_run``); measured intervals always step per record, so the
-    estimates are bit-identical across modes.
+    (``warm_run``) and the measured windows (``feed``); the engines are
+    bit-identical, so the estimates are too.
     """
     if plan is None:
         plan = SamplingPlan()

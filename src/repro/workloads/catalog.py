@@ -17,6 +17,7 @@ not claimed; ``benchmarks/bench_table4_traces.py`` prints paper-vs-measured.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -182,13 +183,22 @@ def scaled_functions(functions: int, scale: float) -> int:
 
 
 def default_scale() -> float:
-    """Trace-length scale from the environment (``REPRO_SCALE``)."""
+    """Trace-length scale from the environment (``REPRO_SCALE``).
+
+    1.0 when unset or empty.  Raises ``ValueError`` naming the variable
+    unless it holds a finite positive number.
+    """
     raw = os.environ.get(SCALE_ENV)
     if not raw:
         return 1.0
-    scale = float(raw)
-    if scale <= 0:
-        raise ValueError(f"{SCALE_ENV} must be positive, got {raw}")
+    try:
+        scale = float(raw)
+    except ValueError:
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(
+            f"{SCALE_ENV} must be a finite positive number, got {raw!r}"
+        )
     return scale
 
 

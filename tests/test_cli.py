@@ -191,6 +191,57 @@ class TestRefusalExitCode:
         assert "CPI" in capsys.readouterr().out
 
 
+class TestReportScale:
+    """``repro report`` and ``run_all`` take their scale from REPRO_SCALE."""
+
+    @pytest.fixture
+    def built(self, monkeypatch, tmp_path):
+        """Capture the scales ``build_report`` is called with."""
+        from repro.experiments import run_all
+
+        calls = []
+
+        def fake_build_report(scale, sweep_scale, **_):
+            calls.append((scale, sweep_scale))
+            return "report\n"
+
+        monkeypatch.setattr(run_all, "build_report", fake_build_report)
+        monkeypatch.chdir(tmp_path)
+        return calls
+
+    def test_report_scale_defaults_to_none(self):
+        args = build_parser().parse_args(["report"])
+        assert args.scale is None and args.sweep_scale == 0.35
+
+    def test_report_without_env_runs_full_scale(self, built):
+        assert main(["report", "--output", "r.md"]) == 0
+        assert built == [(1.0, 0.35)]
+
+    def test_report_reads_repro_scale(self, built, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "0.05")
+        assert main(["report", "--output", "r.md"]) == 0
+        assert built == [(0.05, 0.35)]
+
+    def test_explicit_scale_beats_repro_scale(self, built, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "0.05")
+        assert main(["report", "--scale", "0.2", "--output", "r.md"]) == 0
+        assert built == [(0.2, 0.35)]
+
+    def test_run_all_reads_repro_scale(self, built, monkeypatch):
+        from repro.experiments.run_all import main as run_all_main
+
+        monkeypatch.setenv("REPRO_SCALE", "0.1")
+        assert run_all_main(["--output", "r.md"]) == 0
+        assert built == [(0.1, 0.35)]
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-1", "nan", "inf"])
+    def test_bad_repro_scale_exits_2(self, built, monkeypatch, capsys, raw):
+        monkeypatch.setenv("REPRO_SCALE", raw)
+        assert main(["report", "--output", "r.md"]) == 2
+        assert "REPRO_SCALE" in capsys.readouterr().err
+        assert built == []
+
+
 class TestVerifyCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["verify"])
